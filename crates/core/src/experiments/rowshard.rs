@@ -13,13 +13,14 @@
 
 use crate::sweep::sweep;
 use crate::{Claim, Effort, ExperimentOutput};
-use recsim_data::dist::ZipfCdf;
+use recsim_data::dist::{ZipfCdf, ZipfHead};
 use recsim_data::production::{production_model, ProductionModelId};
 use recsim_hw::units::Bytes;
 use recsim_hw::{Platform, ScmDevice};
 use recsim_metrics::Table;
 use recsim_placement::plan::{table_demands, ADAGRAD_STATE_MULTIPLIER};
 use recsim_placement::RowShardSolver;
+use std::sync::Arc;
 
 /// Row count of the reference table the crossover claim reads the CDF on
 /// (the paper's Figure 6 upper end: ~10M-row hash sizes).
@@ -62,17 +63,20 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     let zipfs: &[f64] = effort.pick(&[0.8, 1.1, 1.4], &[0.6, 0.8, 1.0, 1.1, 1.2, 1.4, 1.6]);
     let fracs: &[f64] = effort.pick(&[0.05, 0.15, 0.4], &[0.02, 0.05, 0.1, 0.15, 0.25, 0.4]);
 
+    // One CDF head per exponent, shared by every cell and table with that
+    // skew (and by the crossover below).
+    let heads: Vec<Arc<ZipfHead>> = zipfs.iter().map(|&s| ZipfHead::new(s)).collect();
     let mut grid = Vec::new();
     for &(model, batch) in &setups {
-        for &zipf in zipfs {
+        for head in &heads {
             for &frac in fracs {
-                grid.push((model, batch, zipf, frac));
+                grid.push((model, batch, head, frac));
             }
         }
     }
 
     // Parallel phase: one solve per cell prices both plans.
-    let points: Vec<Point> = sweep(&grid, |&(model, batch, zipf, frac)| {
+    let points: Vec<Point> = sweep(&grid, |&(model, batch, head, frac)| {
         let config = production_model(model);
         let total: u64 = table_demands(&config, ADAGRAD_STATE_MULTIPLIER)
             .iter()
@@ -81,11 +85,11 @@ pub fn run(effort: Effort) -> ExperimentOutput {
         let budget = Bytes::new((total as f64 * frac) as u64);
         let ddr = Bytes::new((budget.as_u64() as f64 * DDR_BUDGET_MULTIPLE) as u64);
         let row = RowShardSolver
-            .solve(&config, &platform, batch, zipf, budget, ddr)
+            .solve_with_head(&config, &platform, batch, head, budget, ddr)
             .unwrap_or_else(|e| panic!("per-row solve failed on {model:?}: {e}"));
         Point {
             model,
-            zipf,
+            zipf: head.exponent(),
             frac,
             row_cost: row.cost().as_secs(),
             table_cost: row.baseline_cost().as_secs(),
@@ -149,12 +153,12 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     // Crossover: rows needed to cover 90% of the traffic on a 10M-row
     // reference table, per swept exponent.
     let mut crossover = Table::new(vec!["zipf s", "rows for 90% traffic"]);
-    let crossings: Vec<(f64, u64)> = zipfs
+    let crossings: Vec<(f64, u64)> = heads
         .iter()
-        .map(|&s| {
+        .map(|head| {
             (
-                s,
-                ZipfCdf::new(CROSSOVER_ROWS, s).rows_for_coverage(CROSSOVER_COVERAGE),
+                head.exponent(),
+                ZipfCdf::with_head(CROSSOVER_ROWS, head).rows_for_coverage(CROSSOVER_COVERAGE),
             )
         })
         .collect();

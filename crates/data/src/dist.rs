@@ -14,6 +14,8 @@
 //! the same value on every machine, at every thread count, in every sweep
 //! order. There is no wall clock and no global state anywhere.
 
+use std::sync::Arc;
+
 /// The splitmix64 finalizer: a bijective avalanche over `u64`, offset by
 /// the golden-ratio increment.
 #[inline]
@@ -476,21 +478,69 @@ impl SystemNoise {
 /// switches to a closed-form integral approximation of the Zipf tail.
 const ZIPF_CDF_HEAD: u64 = 1 << 16;
 
+/// The exact head of a Zipf CDF: the running sums `Σ_{i=1..k} i^{-s}`
+/// for every `k` up to a length, in one fixed sequential order.
+///
+/// The sums depend only on the exponent, and a shorter head is an exact
+/// prefix of a longer one (the same running sum, stopped earlier), so one
+/// head per exponent serves every table size: build it once with
+/// [`ZipfHead::new`] and hand it to [`ZipfCdf::with_head`]. It is
+/// immutable, so an `Arc` of it is shared across sweep points without a
+/// lock.
+#[derive(Debug)]
+pub struct ZipfHead {
+    s: f64,
+    /// `sums[k-1]` = Σ_{i=1..k} i^{-s}.
+    sums: Vec<f64>,
+}
+
+impl ZipfHead {
+    /// The full head ([`ZIPF_CDF_HEAD`] ranks) for exponent `s`: enough for
+    /// a table of any size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not positive and finite.
+    pub fn new(s: f64) -> Arc<Self> {
+        Arc::new(Self::with_len(s, ZIPF_CDF_HEAD as usize))
+    }
+
+    /// The first `len` running sums for exponent `s`.
+    fn with_len(s: f64, len: usize) -> Self {
+        assert!(s > 0.0 && s.is_finite(), "Zipf exponent must be positive");
+        let mut sums = Vec::with_capacity(len);
+        let mut acc = 0.0f64;
+        // detsan: reduction-order — construction-time prefix sums, fixed
+        // sequential order at every thread count.
+        for i in 1..=len as u64 {
+            acc += (i as f64).powf(-s);
+            sums.push(acc);
+        }
+        ZipfHead { s, sums }
+    }
+
+    /// The exponent the head was built with.
+    pub fn exponent(&self) -> f64 {
+        self.s
+    }
+}
+
 /// The access CDF of a Zipf-popular embedding table: what fraction of all
 /// lookups lands in the `k` most popular rows.
 ///
 /// This is the curve RecShard-style per-row sharding reads its split points
 /// off: a steep CDF means a thin hot slice in HBM captures almost all
 /// traffic and the cold tail can live on SCM. The first
-/// [`ZIPF_CDF_HEAD`] ranks use exact partial harmonic sums; beyond that the
-/// tail mass comes from the midpoint-corrected integral
-/// `∫ x^{-s} dx`, whose error on the smooth tail is far below any split
-/// decision's sensitivity. `cdf` is monotone in `k` by construction.
+/// [`ZIPF_CDF_HEAD`] ranks use exact partial harmonic sums (a
+/// [`ZipfHead`]); beyond that the tail mass comes from the
+/// midpoint-corrected integral `∫ x^{-s} dx`, whose error on the smooth
+/// tail is far below any split decision's sensitivity. `cdf` is monotone
+/// in `k` by construction.
 ///
 /// # Example
 ///
 /// ```
-/// use recsim_data::dist::ZipfCdf;
+/// use recsim_data::dist::{ZipfCdf, ZipfHead};
 ///
 /// let cdf = ZipfCdf::new(10_000_000, 1.1);
 /// // A thin hot prefix soaks up most of the traffic...
@@ -498,37 +548,51 @@ const ZIPF_CDF_HEAD: u64 = 1 << 16;
 /// // ...and the inverse lookup finds the 90%-coverage row count.
 /// let hot = cdf.rows_for_coverage(0.9);
 /// assert!(cdf.cdf(hot) >= 0.9 && cdf.cdf(hot - 1) < 0.9);
+/// // Tables with the same exponent can share one head.
+/// let head = ZipfHead::new(1.1);
+/// assert_eq!(ZipfCdf::with_head(10_000_000, &head).rows_for_coverage(0.9), hot);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZipfCdf {
     n: u64,
-    s: f64,
-    /// `head[k-1]` = Σ_{i=1..k} i^{-s}, for k ≤ min(n, ZIPF_CDF_HEAD).
-    head: Vec<f64>,
+    /// The running sums; the first `head_len` of them are this table's.
+    head: Arc<ZipfHead>,
+    /// min(n, ZIPF_CDF_HEAD).
+    head_len: usize,
     /// Total mass H(n) ≈ Σ_{i=1..n} i^{-s}.
     total: f64,
 }
 
 impl ZipfCdf {
-    /// Builds the CDF for a table of `n` rows with Zipf exponent `s`.
+    /// Builds the CDF for a table of `n` rows with Zipf exponent `s`,
+    /// computing only the `min(n, ZIPF_CDF_HEAD)` head sums it reads.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `s` is not positive and finite.
     pub fn new(n: u64, s: f64) -> Self {
+        let head = ZipfHead::with_len(s, n.min(ZIPF_CDF_HEAD) as usize);
+        Self::with_head(n, &Arc::new(head))
+    }
+
+    /// The CDF for a table of `n` rows over a shared `head`, with the
+    /// head's exponent. Equal to `ZipfCdf::new(n, head.exponent())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `head` is shorter than `min(n,
+    /// ZIPF_CDF_HEAD)` (a head from [`ZipfHead::new`] never is).
+    pub fn with_head(n: u64, head: &Arc<ZipfHead>) -> Self {
         assert!(n > 0, "Zipf support must be non-empty");
-        assert!(s > 0.0 && s.is_finite(), "Zipf exponent must be positive");
         let head_len = n.min(ZIPF_CDF_HEAD) as usize;
-        let mut head = Vec::with_capacity(head_len);
-        let mut acc = 0.0f64;
-        // detsan: reduction-order — construction-time prefix sums, fixed
-        // sequential order at every thread count.
-        for i in 1..=head_len as u64 {
-            acc += (i as f64).powf(-s);
-            head.push(acc);
+        assert!(head.sums.len() >= head_len, "Zipf head is too short");
+        let total = head.sums[head_len - 1] + Self::tail_integral(head_len as u64, n, head.s);
+        Self {
+            n,
+            head: Arc::clone(head),
+            head_len,
+            total,
         }
-        let total = acc + Self::tail_integral(head_len as u64, n, s);
-        Self { n, s, head, total }
     }
 
     /// Midpoint-corrected integral of `x^{-s}` from rank `from`
@@ -552,7 +616,7 @@ impl ZipfCdf {
 
     /// The Zipf exponent the CDF was built with.
     pub fn exponent(&self) -> f64 {
-        self.s
+        self.head.s
     }
 
     /// Fraction of all lookups that hit the `k` most popular rows.
@@ -562,11 +626,12 @@ impl ZipfCdf {
             return 0.0;
         }
         let k = k.min(self.n);
-        let head_len = self.head.len() as u64;
+        let sums = &self.head.sums;
+        let head_len = self.head_len as u64;
         let mass = if k <= head_len {
-            self.head[k as usize - 1]
+            sums[k as usize - 1]
         } else {
-            self.head[self.head.len() - 1] + Self::tail_integral(head_len, k, self.s)
+            sums[self.head_len - 1] + Self::tail_integral(head_len, k, self.head.s)
         };
         (mass / self.total).clamp(0.0, 1.0)
     }
@@ -617,6 +682,24 @@ mod tests {
                 assert!((0.0..=1.0).contains(&c));
                 prev = c;
                 k = (k * 7 / 2).max(k + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_head_gives_the_same_cdf_bit_for_bit() {
+        for s in [0.8, 1.0, 1.4] {
+            let head = ZipfHead::new(s);
+            for n in [1u64, 100, 1 << 16, 10_000_000] {
+                let (own, shared) = (ZipfCdf::new(n, s), ZipfCdf::with_head(n, &head));
+                assert_eq!(shared.exponent(), s);
+                for k in [0, 1, n / 3, n / 2, n - 1, n] {
+                    assert_eq!(
+                        own.cdf(k).to_bits(),
+                        shared.cdf(k).to_bits(),
+                        "n={n} s={s} k={k}"
+                    );
+                }
             }
         }
     }

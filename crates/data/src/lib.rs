@@ -53,6 +53,6 @@ pub mod trace;
 
 pub use arrival::{DiurnalProfile, PopularityProcess};
 pub use batch::{MiniBatch, SparseBatch};
-pub use dist::ZipfCdf;
+pub use dist::{ZipfCdf, ZipfHead};
 pub use schema::{Interaction, ModelConfig, SparseFeatureSpec};
 pub use synthetic::CtrGenerator;

@@ -31,12 +31,13 @@
 
 use crate::cost::{CostModel, MemoryTier};
 use crate::plan::{table_demands, ADAGRAD_STATE_MULTIPLIER};
-use recsim_data::dist::ZipfCdf;
+use recsim_data::dist::{ZipfCdf, ZipfHead};
 use recsim_data::schema::ModelConfig;
 use recsim_hw::units::{Bytes, Duration};
 use recsim_hw::Platform;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Candidate split boundaries per table. Log-spaced, so the hot head is
 /// resolved row-by-row while the cold tail uses coarse chunks — matching
@@ -278,6 +279,27 @@ impl RowShardSolver {
         if !(zipf_exponent > 0.0 && zipf_exponent.is_finite()) {
             return Err(RowShardError::BadSkew(zipf_exponent));
         }
+        let head = ZipfHead::new(zipf_exponent);
+        self.solve_with_head(config, platform, batch, &head, hbm_budget, ddr_budget)
+    }
+
+    /// [`Self::solve`] with the lookup skew given as a prebuilt
+    /// [`ZipfHead`] (its exponent). A sweep builds one head per distinct
+    /// exponent and shares it across its cells, where `solve` builds one
+    /// per call; the plans are identical.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::solve`]; the head's exponent is valid by construction.
+    pub fn solve_with_head(
+        &self,
+        config: &ModelConfig,
+        platform: &Platform,
+        batch: u64,
+        head: &Arc<ZipfHead>,
+        hbm_budget: Bytes,
+        ddr_budget: Bytes,
+    ) -> Result<RowShardPlan, RowShardError> {
         let cost = CostModel::new(config, platform).map_err(|_| RowShardError::NoGpus)?;
         let scm_cap = platform
             .scm()
@@ -286,7 +308,7 @@ impl RowShardSolver {
         let host_cap = ddr_budget
             .as_u64()
             .min(platform.host().memory().capacity().as_u64());
-        let tables = table_states(config, &cost, batch, zipf_exponent);
+        let tables = table_states(config, &cost, batch, head);
         let budgets = (hbm_budget.as_u64(), host_cap, scm_cap);
 
         let per_row = split_plan(&tables, CHUNKS_PER_TABLE, budgets, batch)?;
@@ -325,11 +347,12 @@ impl RowShardSolver {
 }
 
 /// Builds per-table solver state: footprint, tier rates and access CDF.
+/// Every table's CDF shares `head`.
 fn table_states(
     config: &ModelConfig,
     cost: &CostModel,
     batch: u64,
-    zipf_exponent: f64,
+    head: &Arc<ZipfHead>,
 ) -> Vec<TableState> {
     table_demands(config, ADAGRAD_STATE_MULTIPLIER)
         .iter()
@@ -343,7 +366,7 @@ fn table_states(
                 hbm: rate(MemoryTier::GpuHbm),
                 ddr: rate(MemoryTier::HostDram),
                 scm: rate(MemoryTier::Scm),
-                cdf: ZipfCdf::new(rows, zipf_exponent),
+                cdf: ZipfCdf::with_head(rows, head),
             }
         })
         .collect()

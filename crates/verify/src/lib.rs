@@ -3,13 +3,14 @@
 //! Two layers share one diagnostic vocabulary:
 //!
 //! * **Layer 1 — source lints** ([`lint`]): a self-contained, offline
-//!   line/token scanner (its only dependency is `recsim-pool`, which fans
-//!   the per-file pass out over the cores) that walks the workspace and
-//!   enforces source-level invariants (`#![forbid(unsafe_code)]`
-//!   everywhere, no panicking calls in library code, documented and
-//!   ablatable [`CostKnobs`] fields, experiment-registry completeness, and
-//!   the DESIGN.md crate-layering DAG). Run it with
-//!   `cargo run -p recsim-verify -- lint`.
+//!   line/token scanner that walks the workspace and enforces
+//!   source-level invariants (`#![forbid(unsafe_code)]` everywhere, no
+//!   panicking calls in library code, documented and ablatable
+//!   [`CostKnobs`] fields, experiment-registry completeness, and the
+//!   DESIGN.md crate-layering DAG). It reads and scans each source file
+//!   once, in one byte pass per file, inside one pass on `recsim-pool`
+//!   (its only dependency); the cross-file rules fold per-file facts from
+//!   that pass. Run it with `cargo run -p recsim-verify -- lint`.
 //! * **Layer 2 — semantic validation** (this module): the [`Diagnostic`]
 //!   type with stable `RV0xx` [`Code`]s plus the [`Validate`] trait, which
 //!   the domain crates (`recsim-hw`, `recsim-placement`, `recsim-sim`,

@@ -48,22 +48,41 @@ pub fn check_instrumentation(
     sources: &[(String, String)],
 ) -> Vec<Diagnostic> {
     let ops = inventory_ops(ops_source);
-    let mut out = Vec::new();
-    for op in &ops {
-        let token = format!("Op::{op}");
-        let covered = sources.iter().any(|(_, content)| content.contains(&token));
-        if !covered {
-            out.push(Diagnostic::error(
-                Code::UninstrumentedOp,
-                ops_path,
-                format!(
-                    "op inventory entry `{token}` has no instrumentation point in \
-                     crates/model, crates/train, or crates/serve — open a \
-                     `prof::scope({token}, …)` around the kernel (or remove the op \
-                     from the inventory)"
-                ),
-            ));
+    let mut named = vec![false; ops.len()];
+    for (_, content) in sources {
+        mark_named(content, &ops, &mut named);
+    }
+    uninstrumented_ops(ops_path, &ops, &named)
+}
+
+/// RV019's fact about one source: sets `named[i]` when `content` holds
+/// `Op::{ops[i]}`. One search for `Op::` visits every place such a token
+/// can start (the needle cannot overlap itself, so no match is skipped).
+pub fn mark_named(content: &str, ops: &[String], named: &mut [bool]) {
+    for (at, prefix) in content.match_indices("Op::") {
+        let rest = &content[at + prefix.len()..];
+        for (op, seen) in ops.iter().zip(&mut *named) {
+            *seen = *seen || rest.starts_with(op.as_str());
         }
+    }
+}
+
+/// RV019 once every source is marked: one error per op of `ops` whose
+/// `named` flag is unset.
+pub fn uninstrumented_ops(ops_path: &str, ops: &[String], named: &[bool]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (op, _) in ops.iter().zip(named).filter(|(_, seen)| !**seen) {
+        let token = format!("Op::{op}");
+        out.push(Diagnostic::error(
+            Code::UninstrumentedOp,
+            ops_path,
+            format!(
+                "op inventory entry `{token}` has no instrumentation point in \
+                 crates/model, crates/train, or crates/serve — open a \
+                 `prof::scope({token}, …)` around the kernel (or remove the op \
+                 from the inventory)"
+            ),
+        ));
     }
     out
 }

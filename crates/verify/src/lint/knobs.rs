@@ -142,20 +142,40 @@ pub fn check_knob_references(
     cost_src: &str,
     sources: &[(String, String)],
 ) -> Vec<Diagnostic> {
+    let fields = knob_fields(cost_src);
+    let mut referenced = vec![false; fields.len()];
+    for (_, src) in sources {
+        mark_referenced(src, &fields, &mut referenced);
+    }
+    unreferenced_knobs(cost_path, &fields, &referenced)
+}
+
+/// RV005's fact about one source: sets `referenced[i]` when `source` names
+/// `fields[i]`, skipping the fields already marked.
+pub fn mark_referenced(source: &str, fields: &[KnobField], referenced: &mut [bool]) {
+    for (field, seen) in fields.iter().zip(referenced) {
+        *seen = *seen || source.contains(&field.name);
+    }
+}
+
+/// RV005 once every source is marked: one error per field of `fields`
+/// whose `referenced` flag is unset.
+pub fn unreferenced_knobs(
+    cost_path: &str,
+    fields: &[KnobField],
+    referenced: &[bool],
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for f in knob_fields(cost_src) {
-        let referenced = sources.iter().any(|(_, src)| src.contains(&f.name));
-        if !referenced {
-            out.push(Diagnostic::error(
-                Code::KnobUnreferenced,
-                format!("{cost_path}:{}", f.line),
-                format!(
-                    "CostKnobs field `{}` is referenced neither by the knob sweep in \
-                     crates/core/src/ablation.rs nor under crates/bench/src/",
-                    f.name
-                ),
-            ));
-        }
+    for (f, _) in fields.iter().zip(referenced).filter(|(_, seen)| !**seen) {
+        out.push(Diagnostic::error(
+            Code::KnobUnreferenced,
+            format!("{cost_path}:{}", f.line),
+            format!(
+                "CostKnobs field `{}` is referenced neither by the knob sweep in \
+                 crates/core/src/ablation.rs nor under crates/bench/src/",
+                f.name
+            ),
+        ));
     }
     out
 }

@@ -20,6 +20,7 @@ pub mod registry;
 pub mod source;
 pub mod sweep_purity;
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -58,49 +59,129 @@ fn is_workspace_root(dir: &Path) -> bool {
     fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|s| s.contains("[workspace]"))
 }
 
+/// Relative path of the cost model, whose `CostKnobs` fields RV005 looks
+/// for.
+const COST_REL: &str = "crates/sim/src/cost.rs";
+
+/// Relative path of the profiler op inventory, whose ops RV019 looks for.
+const OPS_REL: &str = "crates/prof/src/ops.rs";
+
+/// Relative path of the experiment registry RV006/RV007 read.
+const EXPERIMENTS_REL: &str = "crates/core/src/experiments/mod.rs";
+
+/// The crates whose every source, binaries included, feeds a cross-file
+/// rule: `bench` names the knobs (RV005) and the bench artifacts (RV014),
+/// `model`, `train` and `serve` instrument the ops (RV019).
+const WHOLE_CRATES: [&str; 4] = ["bench", "model", "train", "serve"];
+
+/// What the pass learns of one file: the findings of the per-file rules,
+/// and the facts the cross-file rules fold.
+struct FileFacts {
+    findings: Vec<Diagnostic>,
+    /// RV005: which knobs the file names (all unset outside the knob
+    /// sources).
+    knobs: Vec<bool>,
+    /// RV019: which inventory ops the file names (all unset outside the
+    /// instrumented crates).
+    ops: Vec<bool>,
+    /// RV014: the text of a bench binary.
+    text: Option<String>,
+}
+
 /// Runs every Layer-1 rule over the workspace at `root`.
+///
+/// One `recsim_pool::par_map` pass reads every source file the rules need
+/// once: it runs the per-file rules on the library files and returns, per
+/// file, the facts the cross-file rules (RV005, RV014, RV019) fold
+/// serially afterwards. The three files that say what those facts are
+/// about, or that a rule reads whole, are read first and handed to the
+/// pass.
 pub fn run(root: &Path) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let budgets = load_allowlist(root, ALLOWLIST_PATH, &mut diags);
     let detsan_budgets = load_allowlist(root, DETSAN_ALLOWLIST_PATH, &mut diags);
+    let preread =
+        [COST_REL, OPS_REL, EXPERIMENTS_REL].map(|rel| (rel, fs::read_to_string(root.join(rel))));
+    let [cost, ops_src, experiments] = preread.each_ref().map(|(_, read)| read.as_deref());
+    let knob_fields = cost.map(knobs::knob_fields).unwrap_or_default();
+    let ops = ops_src
+        .map(instrumentation::inventory_ops)
+        .unwrap_or_default();
 
     // RV001 + RV002 + RV012 over library sources; RV011 over simulator
     // sources (des.rs hosts the uncategorized wrappers for generic graphs,
     // so it is exempt — every *simulator builder* must categorize its
     // tasks). RV012 exempts crates/pool/src/, the sanctioned thread host.
     // RV015–RV018 are the determinism-sanitizer rules (DESIGN.md §11).
-    let scanned = scan_library(root, |rel, content| {
-        let mut found = Vec::new();
-        if rel.ends_with("src/lib.rs") {
-            found.extend(source::check_forbid_unsafe(rel, content));
-        }
-        let view = SourceView::new(content);
-        let budget = budgets.get(rel).copied().unwrap_or(0);
-        found.extend(source::check_panic_budget_in(rel, &view, budget));
-        if rel.starts_with("crates/sim/src/") && !rel.ends_with("/des.rs") {
-            found.extend(categories::check_task_categories_in(rel, &view));
-        }
-        found.extend(parallelism::check_raw_threading_in(rel, &view));
-        let detsan_budget = detsan_budgets.get(rel).copied().unwrap_or(0);
-        found.extend(collections::check_unordered_collections_in(
-            rel,
-            &view,
-            detsan_budget,
-        ));
-        found.extend(reductions::check_float_reductions_in(rel, &view));
-        found.extend(entropy::check_entropy_sources_in(rel, &view));
-        found.extend(sweep_purity::check_sweep_purity_in(rel, &view));
-        found
+    let files = sources(root);
+    let scanned = recsim_pool::par_map(&files, |file| {
+        let rel = rel_path(root, &file.path);
+        let content = match preread.iter().find(|(r, read)| *r == rel && read.is_ok()) {
+            Some((_, Ok(text))) => Ok(Cow::Borrowed(text.as_str())),
+            _ => fs::read_to_string(&file.path).map(Cow::Owned),
+        };
+        let facts = content.map(|content| {
+            let mut facts = FileFacts {
+                findings: Vec::new(),
+                knobs: vec![false; knob_fields.len()],
+                ops: vec![false; ops.len()],
+                text: None,
+            };
+            if file.library {
+                facts.findings = library_findings(&rel, &content, &budgets, &detsan_budgets);
+            }
+            if rel.starts_with("crates/bench/src/") || rel == "crates/core/src/ablation.rs" {
+                knobs::mark_referenced(&content, &knob_fields, &mut facts.knobs);
+            }
+            if [
+                "crates/model/src/",
+                "crates/train/src/",
+                "crates/serve/src/",
+            ]
+            .iter()
+            .any(|dir| rel.starts_with(dir))
+            {
+                instrumentation::mark_named(&content, &ops, &mut facts.ops);
+            }
+            if rel.starts_with("crates/bench/src/bin/") {
+                facts.text = Some(content.into_owned());
+            }
+            facts
+        });
+        (rel, facts)
     });
-    // Every read error first, then every file's findings, both in path
-    // order.
-    for (rel, scan) in &scanned {
-        if let Err(e) = scan {
+    // Every library read error first, then every file's findings, both in
+    // path order. The other files are read for their facts only; one that
+    // cannot be read has none.
+    for (file, (rel, facts)) in files.iter().zip(&scanned) {
+        if let (true, Err(e)) = (file.library, facts) {
             diags.push(read_error(rel, e));
         }
     }
-    for found in scanned.into_iter().filter_map(|(_, scan)| scan.ok()) {
-        diags.extend(found);
+    // The bench binaries RV006/RV007 check: `crates/bench/src/bin/*.rs`.
+    let mut bin_stems: Vec<String> = scanned
+        .iter()
+        .filter_map(|(rel, _)| {
+            rel.strip_prefix("crates/bench/src/bin/")?
+                .strip_suffix(".rs")
+        })
+        .filter(|stem| !stem.contains('/'))
+        .map(String::from)
+        .collect();
+    bin_stems.sort();
+    let mut referenced = vec![false; knob_fields.len()];
+    let mut named = vec![false; ops.len()];
+    let mut bin_sources = Vec::new();
+    for (rel, facts) in scanned {
+        let Ok(facts) = facts else { continue };
+        diags.extend(facts.findings);
+        for (seen, fact) in referenced.iter_mut().zip(facts.knobs) {
+            *seen |= fact;
+        }
+        for (seen, fact) in named.iter_mut().zip(facts.ops) {
+            *seen |= fact;
+        }
+        bin_sources.extend(facts.text.map(|text| (rel, text)));
     }
     // Budgets pointing at files that no longer exist are stale too.
     for (list, budgets) in [
@@ -121,36 +202,23 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
     // RV003–RV005 over the cost model. RV005 looks for each knob in the
     // bench sources and the core ablation module; a missing module simply
     // references nothing.
-    let cost_rel = "crates/sim/src/cost.rs";
-    match fs::read_to_string(root.join(cost_rel)) {
+    match cost {
         Ok(cost_src) => {
-            diags.extend(knobs::check_knob_declarations(cost_rel, &cost_src));
-            let mut knob_sources = sources_under(root, &["crates/bench/src"]);
-            let ablation_rel = "crates/core/src/ablation.rs";
-            if let Ok(content) = fs::read_to_string(root.join(ablation_rel)) {
-                knob_sources.push((ablation_rel.to_string(), content));
-            }
-            diags.extend(knobs::check_knob_references(
-                cost_rel,
-                &cost_src,
-                &knob_sources,
+            diags.extend(knobs::check_knob_declarations(COST_REL, cost_src));
+            diags.extend(knobs::unreferenced_knobs(
+                COST_REL,
+                &knob_fields,
+                &referenced,
             ));
         }
-        Err(e) => diags.push(read_error(cost_rel, &e)),
+        Err(e) => diags.push(read_error(COST_REL, e)),
     }
 
     // RV006 + RV007 over the experiment registry.
-    let bin_dir = root.join("crates/bench/src/bin");
-    let mut bin_stems: Vec<String> = rs_files(&bin_dir)
-        .iter()
-        .filter_map(|p| p.file_stem().and_then(|s| s.to_str()).map(String::from))
-        .collect();
-    bin_stems.sort();
-    let mod_rel = "crates/core/src/experiments/mod.rs";
-    let modules = match fs::read_to_string(root.join(mod_rel)) {
-        Ok(src) => registry::experiment_modules(&src),
+    let modules = match experiments {
+        Ok(src) => registry::experiment_modules(src),
         Err(e) => {
-            diags.push(read_error(mod_rel, &e));
+            diags.push(read_error(EXPERIMENTS_REL, e));
             Vec::new()
         }
     };
@@ -163,25 +231,13 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
 
     // RV019 over the profiler op inventory: every op must be instrumented
     // somewhere in the model/train/serve sources.
-    let ops_rel = "crates/prof/src/ops.rs";
-    match fs::read_to_string(root.join(ops_rel)) {
-        Ok(ops_src) => {
-            let instrumented = sources_under(
-                root,
-                &["crates/model/src", "crates/train/src", "crates/serve/src"],
-            );
-            diags.extend(instrumentation::check_instrumentation(
-                ops_rel,
-                &ops_src,
-                &instrumented,
-            ));
-        }
-        Err(e) => diags.push(read_error(ops_rel, &e)),
+    match ops_src {
+        Ok(_) => diags.extend(instrumentation::uninstrumented_ops(OPS_REL, &ops, &named)),
+        Err(e) => diags.push(read_error(OPS_REL, e)),
     }
 
     // RV014 over the repo-root bench baselines.
     let bench_artifacts = root_bench_artifacts(root, &mut diags);
-    let bin_sources = sources_under(root, &["crates/bench/src/bin"]);
     diags.extend(artifacts::check_bench_artifacts(
         &bench_artifacts,
         &bin_sources,
@@ -199,6 +255,36 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
     }
 
     diags
+}
+
+/// The per-file rules over one library file.
+fn library_findings(
+    rel: &str,
+    content: &str,
+    budgets: &BTreeMap<String, usize>,
+    detsan_budgets: &BTreeMap<String, usize>,
+) -> Vec<Diagnostic> {
+    let mut found = Vec::new();
+    if rel.ends_with("src/lib.rs") {
+        found.extend(source::check_forbid_unsafe(rel, content));
+    }
+    let view = SourceView::new(content);
+    let budget = budgets.get(rel).copied().unwrap_or(0);
+    found.extend(source::check_panic_budget_in(rel, &view, budget));
+    if rel.starts_with("crates/sim/src/") && !rel.ends_with("/des.rs") {
+        found.extend(categories::check_task_categories_in(rel, &view));
+    }
+    found.extend(parallelism::check_raw_threading_in(rel, &view));
+    let detsan_budget = detsan_budgets.get(rel).copied().unwrap_or(0);
+    found.extend(collections::check_unordered_collections_in(
+        rel,
+        &view,
+        detsan_budget,
+    ));
+    found.extend(reductions::check_float_reductions_in(rel, &view));
+    found.extend(entropy::check_entropy_sources_in(rel, &view));
+    found.extend(sweep_purity::check_sweep_purity_in(rel, &view));
+    found
 }
 
 /// Regenerates both budget files from the actual per-file counts, so the
@@ -219,14 +305,19 @@ pub fn write_allowlist(root: &Path) -> std::io::Result<usize> {
         "# clean — think hard before adding an entry here.".to_string(),
     ];
     let mut files = 0;
-    let counted = scan_library(root, |rel, content| {
-        let view = SourceView::new(content);
-        let hash_sites = if collections::is_exempt(rel) {
-            0
-        } else {
-            collections::collection_sites(&view).len()
-        };
-        (source::panic_sites(&view).len(), hash_sites)
+    let library: Vec<Source> = sources(root).into_iter().filter(|f| f.library).collect();
+    let counted = recsim_pool::par_map(&library, |file| {
+        let rel = rel_path(root, &file.path);
+        let counts = fs::read_to_string(&file.path).map(|content| {
+            let view = SourceView::new(&content);
+            let hash_sites = if collections::is_exempt(&rel) {
+                0
+            } else {
+                collections::collection_sites(&view).len()
+            };
+            (source::panic_sites(&view).len(), hash_sites)
+        });
+        (rel, counts)
     });
     // Unreadable files get no budget; `run` reports them.
     for (rel, read) in counted {
@@ -282,28 +373,21 @@ fn load_allowlist(
     budgets
 }
 
-/// The per-file pass: reads every library file (see [`library_paths`])
-/// and runs `scan` on its contents, one `recsim_pool::par_map` item per
-/// file. The results come back in path order at any worker count, each
-/// with the file's relative path and either what `scan` returned or the
-/// read error.
-fn scan_library<R, F>(root: &Path, scan: F) -> Vec<(String, std::io::Result<R>)>
-where
-    R: Send,
-    F: Fn(&str, &str) -> R + Sync,
-{
-    recsim_pool::par_map(&library_paths(root), |path| {
-        let rel = rel_path(root, path);
-        let scanned = fs::read_to_string(path).map(|content| scan(&rel, &content));
-        (rel, scanned)
-    })
+/// A source file the lint reads. The library files are the non-test
+/// library sources: `crates/*/src/**/*.rs` excluding `src/bin/` and
+/// `main.rs`, plus the root facade `src/lib.rs`; the per-file rules run on
+/// them. Test dirs (`tests/`), benches, and examples are exempt by
+/// construction — they are never under `src/`. The other files are the
+/// binaries and `main.rs` files of [`WHOLE_CRATES`], read for the
+/// cross-file facts only.
+struct Source {
+    path: PathBuf,
+    library: bool,
 }
 
-/// Every non-test library source in the workspace, sorted by path:
-/// `crates/*/src/**/*.rs` excluding `src/bin/` and `main.rs`, plus the
-/// root facade `src/lib.rs`. Test dirs (`tests/`), benches, and examples
-/// are exempt by construction — they are never under `src/`.
-fn library_paths(root: &Path) -> Vec<PathBuf> {
+/// Every source file the lint reads, sorted by path. The walk runs one
+/// `recsim_pool::par_map` item per crate directory.
+fn sources(root: &Path) -> Vec<Source> {
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
         .map(|rd| {
             rd.filter_map(Result::ok)
@@ -313,13 +397,44 @@ fn library_paths(root: &Path) -> Vec<PathBuf> {
         })
         .unwrap_or_default();
     crate_dirs.sort();
-    let mut files = Vec::new();
-    for crate_dir in crate_dirs {
-        files.extend(rs_files_excluding_bin(&crate_dir.join("src")));
-    }
-    files.push(root.join("src/lib.rs"));
-    files.sort();
+    let mut files: Vec<Source> = recsim_pool::par_map(&crate_dirs, |dir| crate_sources(dir))
+        .into_iter()
+        .flatten()
+        .collect();
+    files.push(Source {
+        path: root.join("src/lib.rs"),
+        library: true,
+    });
+    files.sort_by(|a, b| a.path.cmp(&b.path));
     files
+}
+
+/// The `.rs` files under `crate_dir/src` the lint reads (see [`Source`]).
+fn crate_sources(crate_dir: &Path) -> Vec<Source> {
+    let whole = crate_dir
+        .file_name()
+        .is_some_and(|name| WHOLE_CRATES.iter().any(|c| name == *c));
+    let mut out = Vec::new();
+    // Each directory with whether it lies under a `bin/`.
+    let mut stack = vec![(crate_dir.join("src"), false)];
+    while let Some((dir, in_bin)) = stack.pop() {
+        let Ok(rd) = fs::read_dir(&dir) else { continue };
+        for entry in rd.filter_map(Result::ok) {
+            let path = entry.path();
+            if is_dir(&entry) {
+                let in_bin = in_bin || path.file_name().is_some_and(|n| n == "bin");
+                if whole || !in_bin {
+                    stack.push((path, in_bin));
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let library = !in_bin && path.file_name().is_none_or(|n| n != "main.rs");
+                if whole || library {
+                    out.push(Source { path, library });
+                }
+            }
+        }
+    }
+    out
 }
 
 /// True when the entry is a directory. The walks ask the entry
@@ -330,63 +445,6 @@ fn library_paths(root: &Path) -> Vec<PathBuf> {
 /// symlinks, so the file set is the same.
 fn is_dir(entry: &fs::DirEntry) -> bool {
     entry.file_type().is_ok_and(|t| t.is_dir())
-}
-
-fn rs_files_excluding_bin(src: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let mut stack = vec![src.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let Ok(rd) = fs::read_dir(&dir) else { continue };
-        for entry in rd.filter_map(Result::ok) {
-            let path = entry.path();
-            if is_dir(&entry) {
-                if path.file_name().is_some_and(|n| n == "bin") {
-                    continue;
-                }
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs")
-                && path.file_name().is_none_or(|n| n != "main.rs")
-            {
-                out.push(path);
-            }
-        }
-    }
-    out
-}
-
-fn rs_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out: Vec<PathBuf> = fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-                .collect()
-        })
-        .unwrap_or_default();
-    out.sort();
-    out
-}
-
-fn sources_under(root: &Path, rel_dirs: &[&str]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for rel_dir in rel_dirs {
-        let mut stack = vec![root.join(rel_dir)];
-        while let Some(dir) = stack.pop() {
-            let Ok(rd) = fs::read_dir(&dir) else { continue };
-            for entry in rd.filter_map(Result::ok) {
-                let path = entry.path();
-                if is_dir(&entry) {
-                    stack.push(path);
-                } else if path.extension().is_some_and(|e| e == "rs") {
-                    if let Ok(content) = fs::read_to_string(&path) {
-                        out.push((rel_path(root, &path), content));
-                    }
-                }
-            }
-        }
-    }
-    out.sort();
-    out
 }
 
 /// Every `BENCH_*.json` at the workspace root, as `(file name, contents)`.

@@ -42,20 +42,16 @@ pub fn check_float_reductions_in(path: &str, view: &SourceView<'_>) -> Vec<Diagn
     if !in_scope(view) {
         return Vec::new();
     }
-    let raw_lines = view.raw_lines();
-    let stripped = view.stripped_lines();
     let markers = float_markers();
     let mut out = Vec::new();
     let mut lines: Vec<usize> = view.hits(REDUCTIONS).map(|(idx, _, _)| idx).collect();
     lines.dedup();
     for idx in lines {
-        if !markers.iter().any(|m| stripped[idx].contains(m)) {
+        if !markers.iter().any(|m| view.stripped_line(idx).contains(m)) {
             continue;
         }
         let window_start = idx.saturating_sub(ANNOTATION_WINDOW);
-        let annotated = raw_lines[window_start..=idx]
-            .iter()
-            .any(|raw| raw.contains(ANNOTATION));
+        let annotated = (window_start..=idx).any(|i| view.raw_line(i).contains(ANNOTATION));
         if !annotated {
             out.push(Diagnostic::error(
                 Code::UnannotatedFloatReduction,

@@ -5,9 +5,10 @@
 //! Rules are pure functions over `(path, content)` so unit tests can run
 //! them against inline fixture snippets without touching the filesystem.
 //! `lint::run` builds one [`SourceView`] per library file and hands it to
-//! the `check_*_in` variant of every token rule. One pass per file finds
-//! every token via the rule-grouped table `LINT_TOKENS` and a two-byte
-//! prefilter (`scan`); each rule then reads only its own group's hits.
+//! the `check_*_in` variant of every token rule. One byte pass per file
+//! splits the lines, strips comments and test code, and finds every token
+//! of the rule-grouped table `LINT_TOKENS` behind a two-byte prefilter;
+//! each rule then reads only its own group's hits.
 
 use crate::{Code, Diagnostic};
 
@@ -108,96 +109,103 @@ pub(crate) const POOL_MARKER: Group = REDUCTIONS.then(1);
 pub(crate) const ENTROPY: Group = POOL_MARKER.then(6);
 pub(crate) const SWEEPS: Group = ENTROPY.then(3);
 
-/// [`LINT_TOKENS`] compiled for [`scan`].
+/// [`LINT_TOKENS`] compiled for [`SourceView`]'s byte pass.
 static LINT: TokenSet<'static> = TokenSet::new(&LINT_TOKENS);
 
-/// A token table compiled for [`scan`]: bit `t` of `first[b]` is set when
-/// token `t` starts with byte `b`, and bit `t` of `second[b]` when its
-/// second byte is `b`. A one-byte token has its bit set in every `second`
-/// entry, so it also passes at the end of a line, where [`scan`] looks up
-/// the `\n` entry.
+/// A token table compiled for [`SourceView`]'s byte pass: bit `t` of
+/// `first[b]` is set when token `t` starts with byte `b`, and bit `t` of
+/// `second[b]` when its second byte is `b`. A one-byte token has its bit set
+/// in every `second` entry, so it also passes as a file's last byte, where
+/// the pass looks up the `\n` entry. `stops` has one bit per (byte, next
+/// byte) pair: set when some token may start there or the pair holds a
+/// byte the line structure needs (`\n`, `{`, `}`, `//`, `#[`). The pass
+/// looks at no other position.
 pub(crate) struct TokenSet<'t> {
     tokens: &'t [&'t str],
     first: [u64; 256],
     second: [u64; 256],
+    stops: [u64; 1024],
 }
 
 impl<'t> TokenSet<'t> {
     /// Compiles `tokens`: at most 64 of them, none empty. A token holding a
-    /// newline never matches, since [`scan`] looks within lines.
+    /// newline never matches, since matches lie within lines.
     pub(crate) const fn new(tokens: &'t [&'t str]) -> Self {
         assert!(tokens.len() <= 64, "a token set holds at most 64 tokens");
-        let mut first = [0u64; 256];
-        let mut second = [0u64; 256];
+        let mut set = TokenSet {
+            tokens,
+            first: [0; 256],
+            second: [0; 256],
+            stops: [0; 1024],
+        };
         let mut t = 0;
         while t < tokens.len() {
             let b = tokens[t].as_bytes();
             assert!(!b.is_empty(), "tokens are not empty");
-            first[b[0] as usize] |= 1 << t;
+            set.first[b[0] as usize] |= 1 << t;
             if b.len() > 1 {
-                second[b[1] as usize] |= 1 << t;
+                set.second[b[1] as usize] |= 1 << t;
+                set.stop(b[0], Some(b[1]));
             } else {
                 let mut after = 0;
                 while after < 256 {
-                    second[after] |= 1 << t;
+                    set.second[after] |= 1 << t;
                     after += 1;
                 }
+                set.stop(b[0], None);
             }
             t += 1;
         }
-        TokenSet {
-            tokens,
-            first,
-            second,
-        }
+        set.stop(b'\n', None);
+        set.stop(b'{', None);
+        set.stop(b'}', None);
+        set.stop(b'/', Some(b'/'));
+        set.stop(b'#', Some(b'['));
+        set
     }
-}
 
-/// Every match of `set`'s tokens in `lines`, as `(line index, token id,
-/// byte offset in the line)`, ordered by line, then token, then offset.
-/// Per line and token these are exactly the leftmost non-overlapping
-/// matches `str::match_indices` yields.
-///
-/// One byte pass per line finds all tokens together: a position is looked
-/// at further only when some token starts with its byte and has the next
-/// byte as its second, two table loads that reject almost every position.
-pub(crate) fn scan(lines: &[&str], set: &TokenSet<'_>) -> Vec<(usize, usize, usize)> {
-    let mut hits = Vec::new();
-    // Per token, the first offset in the current line a match may start at.
-    let mut next = [0usize; 64];
-    for (line, text) in lines.iter().enumerate() {
-        let bytes = text.as_bytes();
-        let found = hits.len();
-        let mut try_at = |at: usize, mut candidates: u64| {
-            while candidates != 0 {
-                let t = candidates.trailing_zeros() as usize;
-                candidates &= candidates - 1;
-                let token = set.tokens[t].as_bytes();
-                if at >= next[t] && bytes[at..].starts_with(token) {
-                    next[t] = at + token.len();
-                    hits.push((line, t, at));
+    /// Marks the pair `(byte, after)`, or every pair starting with `byte`.
+    const fn stop(&mut self, byte: u8, after: Option<u8>) {
+        let base = (byte as usize) << 8;
+        match after {
+            Some(after) => {
+                let pair = base | after as usize;
+                self.stops[pair >> 6] |= 1 << (pair & 63);
+            }
+            None => {
+                let mut word = base >> 6;
+                while word < (base + 256) >> 6 {
+                    self.stops[word] = u64::MAX;
+                    word += 1;
                 }
             }
-        };
-        for (at, pair) in bytes.windows(2).enumerate() {
-            let candidates = set.first[usize::from(pair[0])] & set.second[usize::from(pair[1])];
-            if candidates != 0 {
-                try_at(at, candidates);
-            }
-        }
-        if let Some(&last) = bytes.last() {
-            try_at(
-                bytes.len() - 1,
-                set.first[usize::from(last)] & set.second[usize::from(b'\n')],
-            );
-        }
-        let line_hits = &mut hits[found..];
-        line_hits.sort_unstable();
-        for &(_, t, _) in &*line_hits {
-            next[t] = 0;
         }
     }
-    hits
+
+    /// Bit `k` set when position `k` of `bytes` (of its first 64) needs a
+    /// look. When `bytes` holds 64 or fewer, they end the file, and the
+    /// last pairs with a `\n`.
+    fn stops_in(&self, bytes: &[u8]) -> u64 {
+        let stop = |byte: u8, after: u8| {
+            let pair = usize::from(byte) << 8 | usize::from(after);
+            self.stops[pair >> 6] >> (pair & 63) & 1
+        };
+        let mut stops = 0;
+        if let Some(block) = bytes.first_chunk::<65>() {
+            // A fixed trip count, which the compiler unrolls.
+            for k in 0..64 {
+                stops |= stop(block[k], block[k + 1]) << k;
+            }
+            return stops;
+        }
+        for (k, pair) in bytes.windows(2).enumerate() {
+            stops |= stop(pair[0], pair[1]) << k;
+        }
+        if let Some(&last) = bytes.last() {
+            stops |= stop(last, b'\n') << (bytes.len() - 1);
+        }
+        stops
+    }
 }
 
 /// RV002 scanner: returns `(line_number, token)` for every panicking call
@@ -207,44 +215,231 @@ pub fn panic_sites(view: &SourceView<'_>) -> Vec<(usize, &'static str)> {
     view.token_sites(PANIC)
 }
 
+/// One line of a [`SourceView`], as byte offsets into the file: the raw
+/// line is `start..end` (no line ending), the stripped one `start..code`.
+#[derive(Clone, Copy)]
+struct Line {
+    start: usize,
+    end: usize,
+    code: usize,
+}
+
+/// Where the `#[cfg(test)]` state machine stands before a line.
+#[derive(Clone, Copy)]
+enum TestState {
+    Code,
+    /// Saw `#[cfg(test)]`; consuming any further stacked attributes.
+    PendingItem,
+    /// The test item's `{` opens on a later line.
+    WaitingOpen,
+    /// Inside the test item's body at the given brace depth.
+    Skipping(i64),
+}
+
+/// The line a [`SourceView`] scan is in: where it starts, its brace counts
+/// before the comment cut, its first `//` and first `#[`, and where its
+/// matches begin in the view's hits.
+#[derive(Clone, Copy, Default)]
+struct OpenLine {
+    start: usize,
+    opens: i64,
+    closes: i64,
+    cut: Option<usize>,
+    attr: Option<usize>,
+    found: usize,
+}
+
+/// The state after a test item's line that leaves its body `depth` braces
+/// deep (opened and closed on one line when not positive).
+fn open(depth: i64) -> TestState {
+    if depth > 0 {
+        TestState::Skipping(depth)
+    } else {
+        TestState::Code
+    }
+}
+
 /// One library file, scanned once and shared by every token rule (RV002,
 /// RV011, RV012, RV015–RV018).
 ///
-/// `raw` holds the file's lines as `str::lines` yields them, so indices are
-/// `line_number - 1`. `stripped` is the same list with comments and test
-/// code removed: lines inside `#[cfg(test)]` items (and the attribute lines
-/// themselves) are empty; code lines lose any trailing `//` comment. `hits`
-/// is one `scan` of `stripped` for every token in `LINT_TOKENS`; a rule
-/// reads its own group of it. On the ~380k-line layerbench `lint` tree
-/// (2 vCPU), building every file's view takes about 24 ms of a ~46 ms
-/// `lint::run` pass.
+/// The raw lines are the file's lines as `str::lines` yields them, so
+/// indices are `line_number - 1`. The stripped lines are the same lines
+/// with comments and test code removed: lines inside `#[cfg(test)]` items
+/// (and the attribute lines themselves) are empty; code lines lose any
+/// trailing `//` comment. `hits` holds every match of a `LINT_TOKENS` token
+/// in the stripped lines; a rule reads its own group of it.
+///
+/// The `#[cfg(test)]` handling: after the attribute we look for the item it
+/// decorates and swallow its brace-delimited body by brace counting. String
+/// literals are intentionally not parsed — a lightweight token scan is the
+/// contract here, and the workspace style keeps scanned tokens out of
+/// message strings.
+///
+/// [`SourceView::new`] finds all of this in one byte pass over the file
+/// (see `TokenSet`). On the ~380k-line layerbench `lint` tree (seed 1,
+/// 1,394 files, 11.1 MB, 2 vCPU), building every file's view serially
+/// takes about 24 ms, against about 34 ms for the three passes it
+/// replaced (fastest of 30 interleaved rounds each).
 pub struct SourceView<'a> {
-    raw: Vec<&'a str>,
-    stripped: Vec<&'a str>,
+    content: &'a str,
+    lines: Vec<Line>,
     hits: Vec<(usize, usize, usize)>,
 }
 
 impl<'a> SourceView<'a> {
     /// Scans `content` once.
     pub fn new(content: &'a str) -> Self {
-        let raw: Vec<&str> = content.lines().collect();
-        let stripped = non_test_lines(&raw);
-        let hits = scan(&stripped, &LINT);
-        SourceView {
-            raw,
-            stripped,
-            hits,
+        Self::scan(content, &LINT)
+    }
+
+    /// The view of `content` with `set`'s tokens as the hits: `(line index,
+    /// token id, byte offset in the stripped line)`, ordered by line, then
+    /// token, then offset. Per line and token these are exactly the
+    /// leftmost non-overlapping matches `str::match_indices` yields on the
+    /// stripped line.
+    ///
+    /// One loop walks the bytes, skipping every position `set` does not
+    /// mark. It counts braces and notes the first `//` and `#[` of each
+    /// line, jumps from a `//` to the line's end, and records token matches
+    /// as it passes them. At each line's end the `#[cfg(test)]` state
+    /// machine decides whether the line is code, and the line's matches are
+    /// settled: all dropped for test code, otherwise those that run past
+    /// the comment cut or into a `\r\n` dropped.
+    fn scan(content: &'a str, set: &TokenSet<'_>) -> Self {
+        let bytes = content.as_bytes();
+        let len = bytes.len();
+        let mut view = SourceView {
+            content,
+            lines: Vec::new(),
+            hits: Vec::new(),
+        };
+        let mut state = TestState::Code;
+        // Per token, the first offset a match may start at.
+        let mut next = [0usize; 64];
+        let mut line = OpenLine::default();
+        let mut base = 0;
+        'blocks: while base < len {
+            let end = len.min(base + 64);
+            let mut stops = set.stops_in(&bytes[base..]);
+            while stops != 0 {
+                let at = base + stops.trailing_zeros() as usize;
+                stops &= stops - 1;
+                let byte = bytes[at];
+                let after = bytes.get(at + 1).copied().unwrap_or(b'\n');
+                let mut candidates = set.first[usize::from(byte)] & set.second[usize::from(after)];
+                while candidates != 0 {
+                    let t = candidates.trailing_zeros() as usize;
+                    candidates &= candidates - 1;
+                    let token = set.tokens[t].as_bytes();
+                    if at >= next[t] && bytes[at..].starts_with(token) {
+                        next[t] = at + token.len();
+                        view.hits.push((view.lines.len(), t, at));
+                    }
+                }
+                match byte {
+                    b'\n' => {
+                        let crlf = at > line.start && bytes[at - 1] == b'\r';
+                        state = view.end_line(set, state, &line, at - usize::from(crlf));
+                        line = OpenLine {
+                            start: at + 1,
+                            found: view.hits.len(),
+                            ..OpenLine::default()
+                        };
+                    }
+                    b'{' => line.opens += 1,
+                    b'}' => line.closes += 1,
+                    b'/' if after == b'/' => {
+                        // The rest of the line is comment: resume at its end.
+                        line.cut = Some(at);
+                        let resume = content[at..].find('\n').map_or(len, |n| at + n);
+                        if resume >= end {
+                            base = resume;
+                            continue 'blocks;
+                        }
+                        stops &= u64::MAX << (resume - base);
+                    }
+                    b'#' if after == b'[' && line.attr.is_none() => line.attr = Some(at),
+                    _ => {}
+                }
+            }
+            base = end;
         }
+        if line.start < len {
+            // A last line with no newline keeps any trailing `\r`.
+            view.end_line(set, state, &line, len);
+        }
+        view
     }
 
-    /// The file's lines, comments and test code included.
-    pub(crate) fn raw_lines(&self) -> &[&'a str] {
-        &self.raw
+    /// Closes `line`, whose raw text ends at `end`: steps the
+    /// `#[cfg(test)]` state machine from `state`, pushes the line and
+    /// settles its hits. Returns the state before the next line.
+    fn end_line(
+        &mut self,
+        set: &TokenSet<'_>,
+        state: TestState,
+        line: &OpenLine,
+        end: usize,
+    ) -> TestState {
+        let OpenLine { start, found, .. } = *line;
+        let code = line.cut.unwrap_or(end);
+        // The trimmed line starts with `#[` exactly when its first `#[`
+        // follows nothing but whitespace.
+        let attr = (line.attr).filter(|&a| self.content[start..a].trim_start().is_empty());
+        let cfg_test = attr.is_some_and(|a| self.content[a..code].starts_with("#[cfg(test)]"));
+        let opened = line.opens > 0;
+        let delta = line.opens - line.closes;
+        let (keep, state) = match state {
+            TestState::Code if cfg_test => (false, TestState::PendingItem),
+            TestState::Code => (true, state),
+            // stacked attributes (#[cfg(test)] #[allow(...)])
+            TestState::PendingItem if attr.is_some() => (false, state),
+            TestState::PendingItem | TestState::WaitingOpen if opened => (false, open(delta)),
+            // `mod tests;` — out-of-line file, skip just this line
+            TestState::PendingItem if code > start && self.content[..code].ends_with(';') => {
+                (false, TestState::Code)
+            }
+            TestState::PendingItem => (false, TestState::WaitingOpen),
+            TestState::WaitingOpen => (false, state),
+            TestState::Skipping(depth) => (false, open(depth + delta)),
+        };
+        self.lines.push(Line {
+            start,
+            end,
+            code: if keep { code } else { start },
+        });
+        if !keep {
+            self.hits.truncate(found);
+            return state;
+        }
+        let mut kept = found;
+        for at in found..self.hits.len() {
+            let (idx, t, off) = self.hits[at];
+            if off + set.tokens[t].len() <= code {
+                self.hits[kept] = (idx, t, off - start);
+                kept += 1;
+            }
+        }
+        self.hits.truncate(kept);
+        self.hits[found..].sort_unstable();
+        state
     }
 
-    /// The comment- and test-stripped lines, one per raw line.
-    pub(crate) fn stripped_lines(&self) -> &[&'a str] {
-        &self.stripped
+    /// The number of lines, raw or stripped.
+    pub(crate) fn line_count(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Line `idx` as `str::lines` yields it, comments and test code included.
+    pub(crate) fn raw_line(&self, idx: usize) -> &'a str {
+        let line = self.lines[idx];
+        &self.content[line.start..line.end]
+    }
+
+    /// Line `idx` with comments and test code stripped.
+    pub(crate) fn stripped_line(&self, idx: usize) -> &'a str {
+        let line = self.lines[idx];
+        &self.content[line.start..line.code]
     }
 
     /// True when the [`POOL_MARKER`] token occurs in non-test code.
@@ -272,79 +467,6 @@ impl<'a> SourceView<'a> {
             .map(|(line, token, _)| (line + 1, token))
             .collect()
     }
-}
-
-/// The comment- and test-stripped copy of `lines` (see [`SourceView`]).
-///
-/// The `#[cfg(test)]` handling: after the attribute we look for the item it
-/// decorates and swallow its brace-delimited body by brace counting. String
-/// literals are intentionally not parsed — a lightweight token scan is the
-/// contract here, and the workspace style keeps scanned tokens out of
-/// message strings.
-fn non_test_lines<'a>(lines: &[&'a str]) -> Vec<&'a str> {
-    let mut out = Vec::with_capacity(lines.len());
-
-    enum State {
-        Code,
-        /// Saw `#[cfg(test)]`; consuming any further stacked attributes.
-        PendingItem,
-        /// The test item's `{` opens on a later line.
-        WaitingOpen,
-        /// Inside the test item's body at the given brace depth.
-        Skipping(i64),
-    }
-    let mut state = State::Code;
-
-    for &raw in lines {
-        let (line, delta) = code_and_braces(raw);
-        let trimmed = line.trim_start();
-        let mut keep = false;
-        match state {
-            State::Code => {
-                if trimmed.starts_with("#[cfg(test)]") {
-                    state = State::PendingItem;
-                } else {
-                    keep = true;
-                }
-            }
-            State::PendingItem => {
-                if trimmed.starts_with("#[") {
-                    // stacked attributes (#[cfg(test)] #[allow(...)])
-                } else {
-                    state = if line.contains('{') {
-                        if delta > 0 {
-                            State::Skipping(delta)
-                        } else {
-                            State::Code // opened and closed on one line
-                        }
-                    } else if trimmed.ends_with(';') {
-                        State::Code // `mod tests;` — out-of-line file, skip just this line
-                    } else {
-                        State::WaitingOpen
-                    };
-                }
-            }
-            State::WaitingOpen => {
-                if line.contains('{') {
-                    state = if delta > 0 {
-                        State::Skipping(delta)
-                    } else {
-                        State::Code
-                    };
-                }
-            }
-            State::Skipping(depth) => {
-                let depth = depth + delta;
-                state = if depth <= 0 {
-                    State::Code
-                } else {
-                    State::Skipping(depth)
-                };
-            }
-        }
-        out.push(if keep { line } else { "" });
-    }
-    out
 }
 
 /// RV002 with the per-file budget applied: over budget is an error, under
@@ -383,23 +505,6 @@ pub fn check_panic_budget_in(path: &str, view: &SourceView<'_>, budget: usize) -
     out
 }
 
-/// `line` cut before its first `//`, and the net `{` minus `}` count of
-/// what is left, in one byte pass. Does not understand string literals;
-/// good enough for this workspace's style.
-fn code_and_braces(line: &str) -> (&str, i64) {
-    let bytes = line.as_bytes();
-    let mut delta = 0;
-    for (at, &b) in bytes.iter().enumerate() {
-        match b {
-            b'{' => delta += 1,
-            b'}' => delta -= 1,
-            b'/' if bytes.get(at + 1) == Some(&b'/') => return (&line[..at], delta),
-            _ => {}
-        }
-    }
-    (line, delta)
-}
-
 /// Net `{` minus `}` on one line. Byte-wise: neither brace can occur inside
 /// a multi-byte UTF-8 character.
 pub(crate) fn brace_delta(line: &str) -> i64 {
@@ -413,6 +518,7 @@ pub(crate) fn brace_delta(line: &str) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recsim_detsan::prop::{check, Gen};
 
     #[test]
     fn forbid_unsafe_detected() {
@@ -483,14 +589,10 @@ mod tests {
         assert_eq!(stale[0].severity(), crate::Severity::Warning);
     }
 
-    /// The comment- and test-stripped lines of `src`.
-    fn stripped(src: &str) -> Vec<&str> {
-        non_test_lines(&src.lines().collect::<Vec<_>>())
-    }
-
     /// The scanner's `(line, token)` list for `src` under `tokens`.
     fn sites(src: &str, tokens: &[&str]) -> Vec<(usize, String)> {
-        scan(&stripped(src), &TokenSet::new(tokens))
+        SourceView::scan(src, &TokenSet::new(tokens))
+            .hits
             .into_iter()
             .map(|(line, t, _)| (line + 1, tokens[t].to_string()))
             .collect()
@@ -533,7 +635,7 @@ mod tests {
             expect(&[(1, "a"), (1, "a"), (1, "b"), (1, "b")])
         );
         assert_eq!(
-            scan(&stripped("x\n  ab ab\n"), &TokenSet::new(&["ab"])),
+            SourceView::scan("x\n  ab ab\n", &TokenSet::new(&["ab"])).hits,
             [(1, 0, 2), (1, 0, 5)]
         );
     }
@@ -577,7 +679,75 @@ mod tests {
         );
     }
 
-    /// `scan`'s contract, spelled out: `match_indices` per line per token.
+    /// The three passes the one-pass view replaced, kept as its reference:
+    /// the comment- and test-stripped copy of `lines`.
+    fn reference_stripped<'a>(lines: &[&'a str]) -> Vec<&'a str> {
+        enum State {
+            Code,
+            PendingItem,
+            WaitingOpen,
+            Skipping(i64),
+        }
+        let mut out = Vec::with_capacity(lines.len());
+        let mut state = State::Code;
+        for &raw in lines {
+            let (line, delta) = reference_code_and_braces(raw);
+            let trimmed = line.trim_start();
+            let mut keep = false;
+            match state {
+                State::Code => {
+                    if trimmed.starts_with("#[cfg(test)]") {
+                        state = State::PendingItem;
+                    } else {
+                        keep = true;
+                    }
+                }
+                State::PendingItem => {
+                    if !trimmed.starts_with("#[") {
+                        state = if line.contains('{') {
+                            if delta > 0 {
+                                State::Skipping(delta)
+                            } else {
+                                State::Code
+                            }
+                        } else if trimmed.ends_with(';') {
+                            State::Code
+                        } else {
+                            State::WaitingOpen
+                        };
+                    }
+                }
+                State::WaitingOpen => {
+                    if line.contains('{') {
+                        state = if delta > 0 {
+                            State::Skipping(delta)
+                        } else {
+                            State::Code
+                        };
+                    }
+                }
+                State::Skipping(depth) => {
+                    let depth = depth + delta;
+                    state = if depth <= 0 {
+                        State::Code
+                    } else {
+                        State::Skipping(depth)
+                    };
+                }
+            }
+            out.push(if keep { line } else { "" });
+        }
+        out
+    }
+
+    /// `line` cut before its first `//`, and the net `{` minus `}` count of
+    /// what is left.
+    fn reference_code_and_braces(line: &str) -> (&str, i64) {
+        let cut = line.find("//").unwrap_or(line.len());
+        (&line[..cut], brace_delta(&line[..cut]))
+    }
+
+    /// The hits' contract, spelled out: `match_indices` per line per token.
     fn reference(lines: &[&str], tokens: &[&str]) -> Vec<(usize, usize, usize)> {
         let mut out = Vec::new();
         for (line, text) in lines.iter().enumerate() {
@@ -588,79 +758,143 @@ mod tests {
         out
     }
 
-    /// Seeded files built from `fragments`: lines of 0–11 fragments, joined
-    /// by `\n` or `\r\n`, sometimes with no newline after the last line.
-    fn generated_files(fragments: &[&str], seed: u64, count: usize) -> Vec<String> {
-        let mut state = seed;
-        let mut draw = move |n: usize| {
-            // splitmix64
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        };
-        (0..count)
-            .map(|_| {
-                let mut file = String::new();
-                for _ in 0..draw(24) {
-                    for _ in 0..draw(12) {
-                        file.push_str(fragments[draw(fragments.len())]);
-                    }
-                    file.push_str(["\n", "\r\n"][draw(2)]);
+    /// Tokens that stress the byte pass: overlapping runs, a token that
+    /// extends another, multibyte UTF-8, tabs, a `\r`, a one-byte token and
+    /// tokens holding the bytes the line structure stops at.
+    const EDGE_TOKENS: [&str; 13] = [
+        "aa",
+        "aaaaa",
+        "par_map(",
+        "par_map_with(",
+        "é→",
+        "→a",
+        "\tx",
+        "x\r",
+        "(",
+        "{a",
+        "/x",
+        "a/",
+        "#[a",
+    ];
+
+    /// Whole lines that steer the `#[cfg(test)]` state machine.
+    const STRUCTURE: [&str; 12] = [
+        "#[cfg(test)]",
+        "  #[cfg(test)] // tests",
+        "#[allow(dead_code)]",
+        "mod tests;",
+        "mod tests {",
+        "#[cfg(test)] fn t() { x.unwrap() }",
+        "fn t() { }",
+        "{",
+        "}",
+        "} }",
+        "\u{a0}#[cfg(test)]",
+        "#[cfg(test)]\r",
+    ];
+
+    /// A file drawn from `fragments` and [`STRUCTURE`]: up to 30 lines,
+    /// each a structure line or up to 11 fragments, ended by `\n` or
+    /// `\r\n`, and sometimes a last line with no newline.
+    fn draw_file(g: &mut Gen, fragments: &[&str]) -> String {
+        let mut file = String::new();
+        for _ in 0..g.range(0..30usize) {
+            if g.range(0..4usize) == 0 {
+                file.push_str(g.pick(&STRUCTURE));
+            } else {
+                for _ in 0..g.range(0..12usize) {
+                    file.push_str(g.pick(fragments));
                 }
-                if draw(2) == 0 {
-                    file.push_str(fragments[draw(fragments.len())]);
-                }
-                file
-            })
-            .collect()
+            }
+            file.push_str(g.pick(&["\n", "\r\n"]));
+        }
+        for _ in 0..g.range(0..3usize) {
+            file.push_str(g.pick(fragments));
+        }
+        file
+    }
+
+    /// Every token of `tokens`, every proper prefix of each (so near-misses
+    /// straddle real matches) and single bytes the pass treats specially.
+    fn fragments<'a>(tokens: &[&'a str]) -> Vec<&'a str> {
+        let mut fragments: Vec<&str> = vec![
+            "a", "aa", "aaa", "é", "→", "\t", "\r", " ", "x", "_", "(", "/", "//", "{", "}", "#",
+            "#[", ";",
+        ];
+        for &token in tokens {
+            fragments.push(token);
+            fragments.extend((1..token.len()).filter_map(|n| token.get(..n)));
+        }
+        fragments
+    }
+
+    /// Asserts that the one-pass view of `file` under `set` has the raw
+    /// lines, stripped lines and hits of the three-pass reference, and
+    /// returns its hits.
+    fn assert_view_matches_reference(file: &str, set: &TokenSet<'_>) -> Vec<(usize, usize, usize)> {
+        let view = SourceView::scan(file, set);
+        let raw: Vec<&str> = file.lines().collect();
+        let lines: Vec<&str> = (0..view.line_count()).map(|i| view.raw_line(i)).collect();
+        assert_eq!(lines, raw, "raw lines of {file:?}");
+        let stripped = reference_stripped(&raw);
+        let lines: Vec<&str> = (0..view.line_count())
+            .map(|i| view.stripped_line(i))
+            .collect();
+        assert_eq!(lines, stripped, "stripped lines of {file:?}");
+        assert_eq!(
+            view.hits,
+            reference(&stripped, set.tokens),
+            "hits of {file:?}"
+        );
+        view.hits
     }
 
     #[test]
-    fn scan_matches_per_token_match_indices() {
-        let edge_tokens = [
-            "aa",
-            "aaaaa",
-            "par_map(",
-            "par_map_with(",
-            "é→",
-            "→a",
-            "\tx",
-            "x\r",
-            "(",
-        ];
-        let mut fragments: Vec<&str> = vec![
-            "a", "aa", "aaa", "aaaaa", "é", "→", "\t", "\r", " ", "x", "_", "(", "/", "{",
-        ];
-        for &token in LINT_TOKENS.iter().chain(&edge_tokens) {
-            fragments.push(token);
-            // Every proper prefix, so near-misses straddle real matches.
-            fragments.extend((1..token.len()).filter_map(|n| token.get(..n)));
-        }
+    fn one_pass_view_matches_the_three_pass_reference() {
+        let edge = TokenSet::new(&EDGE_TOKENS);
+        let (lint_fragments, edge_fragments) = (fragments(&LINT_TOKENS), fragments(&EDGE_TOKENS));
         let mut seen = [false; LINT_TOKENS.len()];
-        for (seed, set) in [(1, &LINT), (2, &TokenSet::new(&edge_tokens))] {
-            for file in generated_files(&fragments, seed, 400) {
-                let lines: Vec<&str> = file.lines().collect();
-                let got = scan(&lines, set);
-                assert_eq!(got, reference(&lines, set.tokens), "{file:?}");
-                if seed == 1 {
-                    for (_, t, _) in got {
-                        seen[t] = true;
-                    }
-                }
+        check("one_pass_view_matches_the_three_pass_reference", 600, |g| {
+            let file = draw_file(g, &lint_fragments);
+            for (_, t, _) in assert_view_matches_reference(&file, &LINT) {
+                seen[t] = true;
             }
-        }
+            assert_view_matches_reference(&draw_file(g, &edge_fragments), &edge);
+        });
         assert!(
             seen.iter().all(|&s| s),
             "every lint token matched: {seen:?}"
         );
+    }
 
-        // A token as the last two bytes of a line, and an empty line.
-        let lines = ["", "xaa", "aaaaa", "é→é→"];
-        let set = TokenSet::new(&edge_tokens);
-        assert_eq!(scan(&lines, &set), reference(&lines, &edge_tokens));
-        assert_eq!(scan(&lines, &set)[0], (1, 0, 1));
+    #[test]
+    fn one_pass_view_edge_cases() {
+        let edge = TokenSet::new(&EDGE_TOKENS);
+        for file in [
+            "",
+            "\n",
+            "\r\n",
+            "\r",
+            "a\r",
+            "a\n\r",
+            "a\r\r\n",
+            "x\raa\r\n",
+            // A token at the end of the file, and a one-byte one.
+            "xaa",
+            "aaaaa\naa(",
+            // A `//` that splits a token, and tokens around a cut.
+            "par_//map(\npar_map(//x\n/x/x//x\n",
+            "é→é→\n→aé\n",
+            // Stacked attributes, `mod tests;` and one-line test items.
+            "#[cfg(test)]\n#[allow(x)]\nmod tests {\n aa\n}\naa\n",
+            "#[cfg(test)]\nmod tests;\naa\n",
+            "#[cfg(test)] fn t() { aa }\naa\n#[cfg(test)]\nfn u() { aa }\naa",
+            "#[cfg(test)]\nfn v()\n{\naa }\naa\r\n",
+            "\u{a0}#[cfg(test)]\n{a\n}\naa",
+        ] {
+            assert_view_matches_reference(file, &edge);
+            assert_view_matches_reference(file, &LINT);
+        }
     }
 
     #[test]

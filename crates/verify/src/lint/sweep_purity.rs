@@ -86,7 +86,6 @@ pub fn check_sweep_purity_in(path: &str, view: &SourceView<'_>) -> Vec<Diagnosti
     if is_exempt(path) {
         return Vec::new();
     }
-    let stripped = view.stripped_lines();
     let mut out = Vec::new();
     let mut last = None;
     for (idx, token, site) in view.hits(SWEEPS) {
@@ -96,16 +95,16 @@ pub fn check_sweep_purity_in(path: &str, view: &SourceView<'_>) -> Vec<Diagnosti
         last = Some(idx);
         // Walk the call extent: start just after the token's open paren,
         // then paren-balance line by line until the call closes.
-        let first_rest = blank_strings(&stripped[idx][site + token.len()..]);
+        let first_rest = blank_strings(&view.stripped_line(idx)[site + token.len()..]);
         let mut depth: i64 = 1 + paren_delta(&first_rest);
         let mut hazard = HAZARDS
             .iter()
             .find(|h| first_rest.contains(*h as &str))
             .copied();
         let mut end = idx;
-        while depth > 0 && end + 1 < stripped.len() && end - idx < MAX_EXTENT_LINES {
+        while depth > 0 && end + 1 < view.line_count() && end - idx < MAX_EXTENT_LINES {
             end += 1;
-            let body = blank_strings(stripped[end]);
+            let body = blank_strings(view.stripped_line(end));
             if hazard.is_none() {
                 hazard = HAZARDS.iter().find(|h| body.contains(*h as &str)).copied();
             }

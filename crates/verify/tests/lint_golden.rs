@@ -1,10 +1,14 @@
 //! Golden test for the lint driver over a small workspace with one
 //! planted violation per source rule (RV001, RV002, RV011, RV012,
-//! RV015–RV018), one stale allowlist budget (RV010) and one unreadable
-//! library file. `lint::run` must return exactly the pinned diagnostics, in
-//! the pinned order, and `lint::write_allowlist` the exact budgets, both
-//! at one and at four pool workers. The non-source rules (cost knobs,
-//! registry, profiler inventory, bench artifacts, manifests) get inputs
+//! RV015–RV018), one stale allowlist budget (RV010), one unreadable
+//! library file, and one finding per cross-file rule the per-file pass
+//! feeds: an unreferenced cost knob (RV005), an uninstrumented op (RV019)
+//! and a bench artifact no bench binary names (RV014). A knob, an op and
+//! an artifact are named only in binaries (`src/bin/`, `main.rs`), which
+//! the per-file rules skip, so the pass must still read them. `lint::run`
+//! must return exactly the pinned diagnostics, in the pinned order, and
+//! `lint::write_allowlist` the exact budgets, both at one and at four pool
+//! workers. The other non-source rules (registry, manifests) get inputs
 //! they accept, so every finding comes from a planted line.
 //!
 //! This file holds one test because the pool override it sets is
@@ -73,8 +77,8 @@ fn planted_tree() -> TempTree {
         "crates/verify/panic_allowlist.txt",
         "# RV002 budget\ncrates/hw/src/units.rs 2\n",
     );
-    // Two documented, defaulted knobs: one referenced from a bench source,
-    // one only from the core ablation module.
+    // Three documented, defaulted knobs: one referenced only from a bench
+    // binary, one only from the core ablation module, one nowhere (RV005).
     tree.write(
         "crates/sim/src/cost.rs",
         concat!(
@@ -83,27 +87,71 @@ fn planted_tree() -> TempTree {
             "    pub link_eff: f64,\n",
             "    /// Staging share.\n",
             "    pub stage_frac: f64,\n",
+            "    /// Queue depth.\n",
+            "    pub queue_depth: f64,\n",
             "}\n",
             "impl Default for CostKnobs {\n",
             "    fn default() -> Self {\n",
             "        CostKnobs {\n",
             "            link_eff: 0.9,\n",
             "            stage_frac: 0.2,\n",
+            "            queue_depth: 4.0,\n",
             "        }\n",
             "    }\n",
             "}\n",
         ),
     );
     tree.write(
-        "crates/bench/src/ablate.rs",
-        "pub fn knobs() -> [&'static str; 1] { [\"link_eff\"] }\n",
-    );
-    tree.write(
         "crates/core/src/ablation.rs",
         "pub fn knobs() -> [&'static str; 1] { [\"stage_frac\"] }\n",
     );
+    // Two bench artifacts: the bench binary names the first, nothing names
+    // the second (RV014).
+    tree.write(
+        "crates/bench/src/bin/sweeps_baseline.rs",
+        concat!(
+            "fn main() {\n",
+            "    let knobs = [\"link_eff\"];\n",
+            "    write(\"BENCH_sweeps.json\", &knobs);\n",
+            "}\n",
+        ),
+    );
+    let artifact = concat!(
+        "{\"schema\": \"recsim-bench-sweeps-v1\", \"threads\": 4, \"effort\": \"quick\", ",
+        "\"drivers\": [], \"serial_total_secs\": 2.0, \"parallel_total_secs\": 1.0, ",
+        "\"speedup\": 2.0, \"outputs_identical\": true}\n",
+    );
+    tree.write("BENCH_sweeps.json", artifact);
+    tree.write("BENCH_orphan.json", artifact);
+    // Four inventory ops: one instrumented in a library file, one only in a
+    // `src/bin/` file, one only in a `main.rs`, one nowhere (RV019).
+    tree.write(
+        "crates/prof/src/ops.rs",
+        concat!(
+            "//! Op inventory.\n",
+            "impl Op {\n",
+            "    pub const ALL: [Op; 4] = [\n",
+            "        Op::LinearFwd,\n",
+            "        Op::EmbGather,\n",
+            "        Op::ServeBatch,\n",
+            "        Op::TrainStep,\n",
+            "    ];\n",
+            "}\n",
+        ),
+    );
+    tree.write(
+        "crates/model/src/linear.rs",
+        "pub fn fwd(c: &Ctx) { let _s = prof::scope(Op::LinearFwd, c); }\n",
+    );
+    tree.write(
+        "crates/model/src/bin/probe.rs",
+        "fn main() { let _s = prof::scope(Op::EmbGather, &Ctx::new()); }\n",
+    );
+    tree.write(
+        "crates/serve/src/main.rs",
+        "fn main() { let _s = prof::scope(Op::ServeBatch, &Ctx::new()); }\n",
+    );
     tree.write("crates/core/src/experiments/mod.rs", "//! Registry.\n");
-    tree.write("crates/prof/src/ops.rs", "//! Op inventory.\n");
 
     // RV001 (no forbid), RV011 and RV017, plus test-only copies of both
     // that must stay silent.
@@ -184,7 +232,7 @@ fn budgets(text: &str) -> Vec<&str> {
 fn lint_reports_the_planted_findings_in_order_at_any_worker_count() {
     let tree = planted_tree();
     // Read errors first; then files in path order and, within a file,
-    // rules in `lint::run` order, then lines.
+    // rules in `lint::run` order, then lines; then the cross-file rules.
     let want = [
         "RV033 error crates/train/src/latin1.rs",
         "RV016 error crates/core/src/agg.rs:12 `detsan: reduction-order`",
@@ -196,6 +244,9 @@ fn lint_reports_the_planted_findings_in_order_at_any_worker_count() {
         "RV011 error crates/sim/src/lib.rs:3 `.add_task(…)`",
         "RV017 error crates/sim/src/lib.rs:5 `Instant::now`",
         "RV012 error crates/train/src/fan.rs:2 `thread::spawn(…)`",
+        "RV005 error crates/sim/src/cost.rs:7 `queue_depth`",
+        "RV019 error crates/prof/src/ops.rs `Op::TrainStep`",
+        "RV014 error BENCH_orphan.json",
     ];
     // `par_map` caps the worker count at the host's cores, so on a 1-core
     // host both passes take the serial path.
