@@ -495,7 +495,7 @@ pub struct ZipfHead {
 }
 
 impl ZipfHead {
-    /// The full head ([`ZIPF_CDF_HEAD`] ranks) for exponent `s`: enough for
+    /// The full head (`ZIPF_CDF_HEAD` ranks) for exponent `s`: enough for
     /// a table of any size.
     ///
     /// # Panics
@@ -531,7 +531,7 @@ impl ZipfHead {
 /// This is the curve RecShard-style per-row sharding reads its split points
 /// off: a steep CDF means a thin hot slice in HBM captures almost all
 /// traffic and the cold tail can live on SCM. The first
-/// [`ZIPF_CDF_HEAD`] ranks use exact partial harmonic sums (a
+/// `ZIPF_CDF_HEAD` ranks use exact partial harmonic sums (a
 /// [`ZipfHead`]); beyond that the tail mass comes from the
 /// midpoint-corrected integral `∫ x^{-s} dx`, whose error on the smooth
 /// tail is far below any split decision's sensitivity. `cdf` is monotone

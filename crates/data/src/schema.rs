@@ -237,11 +237,6 @@ impl ModelConfig {
         }
     }
 
-    /// Storage precision of embedding rows.
-    pub fn embedding_precision(&self) -> EmbeddingPrecision {
-        self.precision
-    }
-
     /// The distinct-table index backing sparse feature `i`.
     ///
     /// # Panics

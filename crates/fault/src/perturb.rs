@@ -1,5 +1,5 @@
 //! Bridging fault schedules into the DES: a [`SlowdownField`] turns the
-//! time-averaged degradation of a [`FaultSchedule`](crate::FaultSchedule)
+//! time-averaged degradation of a [`FaultSchedule`]
 //! into a [`Perturbation`] the engine applies per task.
 //!
 //! The DES simulates one steady-state iteration (milliseconds); the fault

@@ -294,16 +294,6 @@ impl FlopRate {
         Self::from_flops_per_s(t * 1e12)
     }
 
-    /// Constructs from gigaFLOP/s.
-    pub fn from_gflops(g: f64) -> Self {
-        Self::from_flops_per_s(g * 1e9)
-    }
-
-    /// Rate in operations per second.
-    pub fn as_flops_per_s(self) -> f64 {
-        self.0
-    }
-
     /// Rate in teraFLOP/s.
     pub fn as_tflops(self) -> f64 {
         self.0 / 1e12
@@ -470,11 +460,6 @@ impl Power {
     /// Value in watts.
     pub fn as_watts(self) -> f64 {
         self.0
-    }
-
-    /// Value in kilowatts.
-    pub fn as_kilowatts(self) -> f64 {
-        self.0 / 1e3
     }
 }
 

@@ -112,23 +112,6 @@ pub fn line_plot(figure: &Figure, width: usize, height: usize) -> String {
     out
 }
 
-/// Renders each series of the figure as its own labelled bar chart block —
-/// useful when x values are categorical (placement strategies, platforms).
-pub fn grouped_bars(figure: &Figure, width: usize) -> String {
-    let mut out = String::new();
-    for series in figure.series() {
-        out.push_str(series.name());
-        out.push('\n');
-        let items: Vec<(String, f64)> = series
-            .points()
-            .iter()
-            .map(|&(x, y)| (format!("x={x:.0}"), y))
-            .collect();
-        out.push_str(&bar_chart(&items, width));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -107,19 +107,6 @@ impl Series {
         }
     }
 
-    /// Divides every y by `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `base` is zero.
-    pub fn scaled_by(&self, base: f64) -> Series {
-        assert!(base != 0.0, "cannot scale by zero");
-        Series {
-            name: self.name.clone(),
-            points: self.points.iter().map(|&(x, y)| (x, y / base)).collect(),
-        }
-    }
-
     /// Returns `true` when ys never decrease as the points progress.
     pub fn is_non_decreasing(&self) -> bool {
         self.points.windows(2).all(|w| w[1].1 >= w[0].1 - 1e-12)

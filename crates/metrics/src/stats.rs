@@ -125,16 +125,6 @@ impl OnlineStats {
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
     }
-
-    /// Coefficient of variation (std dev / mean); `0.0` when mean is 0.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.sample_std_dev() / m
-        }
-    }
 }
 
 impl Extend<f64> for OnlineStats {
@@ -364,12 +354,6 @@ impl Summary {
 
     /// Read-only view of the (possibly unsorted) samples.
     pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Sorted view of the samples.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
         &self.samples
     }
 }

@@ -223,7 +223,7 @@ impl Matrix {
 
     /// `self · other`.
     ///
-    /// i-k-j loop order with the `k` dimension unrolled by [`K_UNROLL`]:
+    /// i-k-j loop order with the `k` dimension unrolled by `K_UNROLL`:
     /// four rows of `B` are combined into the output row per pass through a
     /// branch-free inner loop (no data-dependent zero-skip), which the
     /// autovectorizer turns into packed multiply-adds. Per output element
@@ -294,7 +294,7 @@ impl Matrix {
     /// `self · otherᵀ`.
     ///
     /// Each output element is an inner product of two contiguous rows,
-    /// computed by the multi-accumulator [`dot`] kernel (fixed pairwise
+    /// computed by the multi-accumulator `dot` kernel (fixed pairwise
     /// lane fold; order depends only on the row length).
     ///
     /// # Panics
@@ -344,7 +344,7 @@ impl Matrix {
 
     /// `selfᵀ · other`.
     ///
-    /// The shared (batch) dimension is unrolled by [`K_UNROLL`]: four rows
+    /// The shared (batch) dimension is unrolled by `K_UNROLL`: four rows
     /// of `other` are scattered into each output row per pass through a
     /// branch-free combined inner loop. Like [`Matrix::matmul`], the
     /// accumulation order is fixed by the shapes alone.
@@ -543,11 +543,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Fills with zeros in place.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 }
 

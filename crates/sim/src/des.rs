@@ -781,11 +781,6 @@ impl Schedule {
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// Name of a task (diagnostics).
-    pub fn task_name(&self, task: TaskId) -> &str {
-        &self.task_names[task.0]
-    }
-
     /// Attribution category of a task.
     pub fn task_category_of(&self, task: TaskId) -> TaskCategory {
         self.task_category[task.0]

@@ -10,7 +10,6 @@
 
 use crate::des::{NoPerturbation, SimScratch};
 use crate::gpu::GpuTrainingSim;
-use crate::report::SimReport;
 use crate::simulator::Simulator;
 use crate::SimError;
 use recsim_data::dist::SplitMix64;
@@ -132,12 +131,6 @@ impl VariabilityStudy {
         let mean = self.throughputs.iter().sum::<f64>() / self.throughputs.len() as f64;
         1.0 - mean / self.nominal
     }
-}
-
-/// Reports percentile statistics for a collection of [`SimReport`]s — a
-/// convenience for callers that sample their own configurations.
-pub fn throughput_summary(reports: &[SimReport]) -> Summary {
-    Summary::from_samples(reports.iter().map(SimReport::throughput).collect())
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! - exporters: Chrome trace-event JSON ([`chrome_trace`], loadable in
 //!   Perfetto), a plain-text per-resource timeline ([`text_timeline`]), and
 //!   counter/category summary tables rendered via `recsim-metrics`;
-//! - [`critical_path`] analysis: a backward walk over a finished schedule
+//! - [`critical_path`](mod@critical_path) analysis: a backward walk over a finished schedule
 //!   that partitions `[0, makespan]` across [`TaskCategory`] buckets and
 //!   ranks off-path tasks by slack.
 //!

@@ -6,7 +6,7 @@
 //!   line/token scanner that walks the workspace and enforces
 //!   source-level invariants (`#![forbid(unsafe_code)]` everywhere, no
 //!   panicking calls in library code, documented and ablatable
-//!   [`CostKnobs`] fields, experiment-registry completeness, and the
+//!   `CostKnobs` fields, experiment-registry completeness, and the
 //!   DESIGN.md crate-layering DAG). It reads and scans each source file
 //!   once, in one byte pass per file, inside one pass on `recsim-pool`
 //!   (its only dependency); the cross-file rules fold per-file facts from

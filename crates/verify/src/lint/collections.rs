@@ -38,11 +38,10 @@ pub fn check_unordered_collections_in(
     if is_exempt(path) {
         return Vec::new();
     }
-    let sites = collection_sites(view);
-    let actual = sites.len();
+    let actual = view.count(HASH_COLLECTIONS);
     let mut out = Vec::new();
     if actual > budget {
-        for (line, token) in &sites {
+        for (line, token) in collection_sites(view) {
             out.push(Diagnostic::error(
                 Code::UnorderedCollection,
                 format!("{path}:{line}"),

@@ -313,9 +313,9 @@ pub fn write_allowlist(root: &Path) -> std::io::Result<usize> {
             let hash_sites = if collections::is_exempt(&rel) {
                 0
             } else {
-                collections::collection_sites(&view).len()
+                view.count(source::HASH_COLLECTIONS)
             };
-            (source::panic_sites(&view).len(), hash_sites)
+            (view.count(source::PANIC), hash_sites)
         });
         (rel, counts)
     });
@@ -385,8 +385,9 @@ struct Source {
     library: bool,
 }
 
-/// Every source file the lint reads, sorted by path. The walk runs one
-/// `recsim_pool::par_map` item per crate directory.
+/// Every source file the lint reads, in path order. The walk runs one
+/// `recsim_pool::par_map` item per crate directory; the crates come in name
+/// order, and `src/lib.rs` sorts after them.
 fn sources(root: &Path) -> Vec<Source> {
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
         .map(|rd| {
@@ -405,36 +406,46 @@ fn sources(root: &Path) -> Vec<Source> {
         path: root.join("src/lib.rs"),
         library: true,
     });
-    files.sort_by(|a, b| a.path.cmp(&b.path));
     files
 }
 
-/// The `.rs` files under `crate_dir/src` the lint reads (see [`Source`]).
+/// The `.rs` files under `crate_dir/src` the lint reads (see [`Source`]),
+/// in path order.
 fn crate_sources(crate_dir: &Path) -> Vec<Source> {
     let whole = crate_dir
         .file_name()
         .is_some_and(|name| WHOLE_CRATES.iter().any(|c| name == *c));
     let mut out = Vec::new();
-    // Each directory with whether it lies under a `bin/`.
-    let mut stack = vec![(crate_dir.join("src"), false)];
-    while let Some((dir, in_bin)) = stack.pop() {
-        let Ok(rd) = fs::read_dir(&dir) else { continue };
-        for entry in rd.filter_map(Result::ok) {
-            let path = entry.path();
-            if is_dir(&entry) {
-                let in_bin = in_bin || path.file_name().is_some_and(|n| n == "bin");
-                if whole || !in_bin {
-                    stack.push((path, in_bin));
-                }
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let library = !in_bin && path.file_name().is_none_or(|n| n != "main.rs");
-                if whole || library {
-                    out.push(Source { path, library });
-                }
+    walk(&crate_dir.join("src"), false, whole, &mut out);
+    out
+}
+
+/// Appends the files of [`crate_sources`] under `dir`, which lies under a
+/// `bin/` when `in_bin`. Each directory's entries are taken in name order
+/// and a subdirectory is walked where its name sorts, which is `Path`
+/// order: `a/x.rs` comes before `a-b.rs`, though `-` sorts before `/` in a
+/// string.
+fn walk(dir: &Path, in_bin: bool, whole: bool, out: &mut Vec<Source>) {
+    let Ok(rd) = fs::read_dir(dir) else { return };
+    let mut entries: Vec<(std::ffi::OsString, bool)> = rd
+        .filter_map(Result::ok)
+        .map(|entry| (entry.file_name(), is_dir(&entry)))
+        .collect();
+    entries.sort_unstable();
+    for (name, subdir) in entries {
+        let path = dir.join(&name);
+        if subdir {
+            let in_bin = in_bin || name == "bin";
+            if whole || !in_bin {
+                walk(&path, in_bin, whole, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let library = !in_bin && name != "main.rs";
+            if whole || library {
+                out.push(Source { path, library });
             }
         }
     }
-    out
 }
 
 /// True when the entry is a directory. The walks ask the entry
@@ -505,4 +516,66 @@ fn read_error(rel: &str, e: &std::io::Error) -> Diagnostic {
         rel.to_string(),
         format!("lint driver could not read this file: {e}"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn walk_yields_path_order() {
+        let root = std::env::temp_dir().join(format!("recsim-verify-walk-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        for rel in [
+            "crates/b/src/lib.rs",
+            "crates/b/src/a-b.rs",
+            "crates/b/src/a/x.rs",
+            "crates/b/src/a/y/z.rs",
+            "crates/b/src/a.b.rs",
+            "crates/b/src/bin/tool.rs",
+            "crates/b/src/main.rs",
+            "crates/b/src/notes.txt",
+            "crates/a-b/src/lib.rs",
+            "crates/a/src/lib.rs",
+            "crates/bench/src/bin/run.rs",
+            "crates/bench/src/bin/run/helper.rs",
+            "crates/bench/src/main.rs",
+            "crates/bench/src/lib.rs",
+            "src/lib.rs",
+        ] {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().expect("a parent")).expect("temp dir is writable");
+            fs::write(&path, "").expect("temp file is writable");
+        }
+        let walked: Vec<(String, bool)> = sources(&root)
+            .iter()
+            .map(|file| (rel_path(&root, &file.path), file.library))
+            .collect();
+        let mut by_path = walked.clone();
+        by_path.sort_by(|a, b| Path::new(&a.0).cmp(Path::new(&b.0)));
+        assert_eq!(walked, by_path, "the walk is in path order");
+        let expected = [
+            ("crates/a/src/lib.rs", true),
+            ("crates/a-b/src/lib.rs", true),
+            ("crates/b/src/a/x.rs", true),
+            ("crates/b/src/a/y/z.rs", true),
+            ("crates/b/src/a-b.rs", true),
+            ("crates/b/src/a.b.rs", true),
+            ("crates/b/src/lib.rs", true),
+            ("crates/bench/src/bin/run/helper.rs", false),
+            ("crates/bench/src/bin/run.rs", false),
+            ("crates/bench/src/lib.rs", true),
+            ("crates/bench/src/main.rs", false),
+            ("src/lib.rs", true),
+        ];
+        let expected: Vec<(String, bool)> = expected
+            .iter()
+            .map(|&(rel, library)| (rel.to_string(), library))
+            .collect();
+        assert_eq!(walked, expected);
+        let mut by_string = walked.clone();
+        by_string.sort();
+        assert_ne!(walked, by_string, "`-` sorts before `/` in a string");
+        fs::remove_dir_all(&root).expect("temp dir is removable");
+    }
 }

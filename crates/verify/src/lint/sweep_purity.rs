@@ -10,7 +10,7 @@
 //! tokens.
 //!
 //! The scan is a paren-balanced walk from the call's opening parenthesis
-//! (string literals skipped, capped at [`MAX_EXTENT_LINES`] lines), so only
+//! (string literals skipped, capped at `MAX_EXTENT_LINES` lines), so only
 //! code textually inside the call — the closure body included — is audited.
 
 use super::source::{SourceView, SWEEPS};
